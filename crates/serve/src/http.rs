@@ -21,6 +21,7 @@
 
 use std::fmt;
 use std::io::{self, Read, Write};
+use std::sync::Arc;
 
 /// Cap on the whole request head (request line + headers).
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -158,6 +159,13 @@ impl RequestParser {
     /// Number of buffered, not-yet-consumed bytes.
     pub fn buffered(&self) -> usize {
         self.buffer.len()
+    }
+
+    /// Whether a complete request head (`…\r\n\r\n`) is already buffered,
+    /// so the next [`try_parse`](Self::try_parse) needs no socket read.
+    /// The head may still be malformed; parsing decides that.
+    pub fn has_complete_head(&self) -> bool {
+        find(&self.buffer, b"\r\n\r\n").is_some()
     }
 
     /// Appends a chunk and attempts to parse one request head.
@@ -744,13 +752,23 @@ fn percent_decode(raw: &str, query: bool) -> Result<String, HttpViolation> {
         .map_err(|_| HttpViolation::BadRequest(format!("{raw:?} does not decode to UTF-8")))
 }
 
-/// A response under construction.
+/// A response under construction. The body is shared: a cached document
+/// is handed out as another reference to the cache's bytes, never copied
+/// per request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Response {
     status: u16,
     headers: Vec<(String, String)>,
-    body: Vec<u8>,
+    body: Arc<[u8]>,
 }
+
+/// The fixed `Server` field every response carries, between the status
+/// line and the route's own headers.
+const SERVER_FIELD: &str = concat!(
+    "\r\nServer: osdiv-serve/",
+    env!("CARGO_PKG_VERSION"),
+    "\r\n"
+);
 
 impl Response {
     /// An empty response with a status code.
@@ -758,7 +776,7 @@ impl Response {
         Response {
             status,
             headers: Vec::new(),
-            body: Vec::new(),
+            body: Arc::from(Vec::new()),
         }
     }
 
@@ -771,11 +789,12 @@ impl Response {
         Response::new(status).with_body(tabular::mime::TEXT_PLAIN, message.into_bytes())
     }
 
-    /// Sets the body and its `Content-Type`.
-    pub fn with_body(mut self, content_type: &str, body: Vec<u8>) -> Self {
+    /// Sets the body and its `Content-Type`. A `Vec<u8>` is moved in; an
+    /// `Arc<[u8]>` is shared as is.
+    pub fn with_body(mut self, content_type: &str, body: impl Into<Arc<[u8]>>) -> Self {
         self.headers
             .push(("Content-Type".to_string(), content_type.to_string()));
-        self.body = body;
+        self.body = body.into();
         self
     }
 
@@ -804,40 +823,71 @@ impl Response {
             .map(|(_, v)| v.as_str())
     }
 
-    /// Serializes the response, returning the number of bytes written
-    /// (head plus body — the unit of the `/metrics` byte counter).
-    /// `head_only` suppresses the body (HEAD requests) while keeping the
-    /// `Content-Length` of the full representation; 304 responses never
-    /// carry a body.
+    /// Serializes the response with one `write_all`, returning the number
+    /// of bytes written (head plus body — the unit of the `/metrics` byte
+    /// counter). See [`append_to`](Self::append_to) for the wire form.
     pub fn write_to(
         &self,
         writer: &mut impl Write,
         keep_alive: bool,
         head_only: bool,
     ) -> io::Result<usize> {
-        let mut head = format!(
-            "HTTP/1.1 {} {}\r\nServer: osdiv-serve/{}\r\n",
-            self.status,
-            reason(self.status),
-            env!("CARGO_PKG_VERSION"),
-        );
-        for (name, value) in &self.headers {
-            head.push_str(&format!("{name}: {value}\r\n"));
-        }
-        head.push_str(&format!("Content-Length: {}\r\n", self.body.len()));
-        head.push_str(if keep_alive {
-            "Connection: keep-alive\r\n\r\n"
-        } else {
-            "Connection: close\r\n\r\n"
-        });
-        writer.write_all(head.as_bytes())?;
-        let mut written = head.len();
-        if !head_only && self.status != 304 && !self.body.is_empty() {
-            writer.write_all(&self.body)?;
-            written += self.body.len();
-        }
+        let mut wire = Vec::new();
+        let written = self.append_to(&mut wire, keep_alive, head_only);
+        writer.write_all(&wire)?;
         writer.flush()?;
         Ok(written)
+    }
+
+    /// Appends the serialized response to `out` and returns how many bytes
+    /// it added. The head is rendered straight into the buffer and the
+    /// body follows it, so a caller holding several replies can send them
+    /// in one write. `head_only` suppresses the body (HEAD requests) while
+    /// keeping the `Content-Length` of the full representation; 304
+    /// responses never carry a body.
+    pub fn append_to(&self, out: &mut Vec<u8>, keep_alive: bool, head_only: bool) -> usize {
+        let start = out.len();
+        let send_body = !head_only && self.status != 304;
+        // One allocation for a typical head plus the body.
+        out.reserve(256 + if send_body { self.body.len() } else { 0 });
+        out.extend_from_slice(b"HTTP/1.1 ");
+        push_decimal(out, usize::from(self.status));
+        out.push(b' ');
+        out.extend_from_slice(reason(self.status).as_bytes());
+        out.extend_from_slice(SERVER_FIELD.as_bytes());
+        for (name, value) in &self.headers {
+            out.extend_from_slice(name.as_bytes());
+            out.extend_from_slice(b": ");
+            out.extend_from_slice(value.as_bytes());
+            out.extend_from_slice(b"\r\n");
+        }
+        out.extend_from_slice(b"Content-Length: ");
+        push_decimal(out, self.body.len());
+        out.extend_from_slice(if keep_alive {
+            b"\r\nConnection: keep-alive\r\n\r\n"
+        } else {
+            b"\r\nConnection: close\r\n\r\n"
+        });
+        if send_body {
+            out.extend_from_slice(&self.body);
+        }
+        out.len().saturating_sub(start)
+    }
+}
+
+/// Appends the decimal digits of `value` without going through `fmt`.
+fn push_decimal(out: &mut Vec<u8>, value: usize) {
+    let start = out.len();
+    let mut rest = value;
+    loop {
+        out.push(b'0' + (rest % 10) as u8);
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    if let Some(digits) = out.get_mut(start..) {
+        digits.reverse();
     }
 }
 
@@ -1024,6 +1074,76 @@ mod tests {
         assert!(text.contains("Content-Length: 2\r\n"));
         assert!(text.contains("Connection: close\r\n"));
         assert!(text.ends_with("\r\n\r\n"));
+    }
+
+    #[test]
+    fn the_wire_form_is_byte_identical_to_the_formatted_one() {
+        let formatted = |response: &Response, keep_alive: bool, head_only: bool| {
+            let mut wire = format!(
+                "HTTP/1.1 {} {}\r\nServer: osdiv-serve/{}\r\n",
+                response.status,
+                reason(response.status),
+                env!("CARGO_PKG_VERSION"),
+            );
+            for (name, value) in &response.headers {
+                wire.push_str(&format!("{name}: {value}\r\n"));
+            }
+            wire.push_str(&format!("Content-Length: {}\r\n", response.body.len()));
+            wire.push_str(if keep_alive {
+                "Connection: keep-alive\r\n\r\n"
+            } else {
+                "Connection: close\r\n\r\n"
+            });
+            let mut wire = wire.into_bytes();
+            if !head_only && response.status != 304 {
+                wire.extend_from_slice(&response.body);
+            }
+            wire
+        };
+        let responses = [
+            Response::new(200)
+                .with_body(tabular::mime::APPLICATION_JSON, vec![b'x'; 12_345])
+                .with_header("ETag", "\"abc\""),
+            Response::new(304).with_header("ETag", "\"abc\""),
+            Response::text(404, "no route"),
+            Response::new(507),
+            Response::new(200).with_body(tabular::mime::TEXT_PLAIN, Vec::new()),
+        ];
+        for response in &responses {
+            for (keep_alive, head_only) in [(true, false), (false, false), (true, true)] {
+                let expected = formatted(response, keep_alive, head_only);
+                let mut out = b"earlier reply".to_vec();
+                let appended = response.append_to(&mut out, keep_alive, head_only);
+                assert_eq!(&out[13..], &expected[..], "{}", response.status());
+                assert_eq!(appended, expected.len());
+                let mut written = Vec::new();
+                let count = response
+                    .write_to(&mut written, keep_alive, head_only)
+                    .unwrap();
+                assert_eq!((written, count), (expected.clone(), expected.len()));
+            }
+        }
+    }
+
+    #[test]
+    fn decimals_render_without_fmt() {
+        for value in [0usize, 7, 10, 99, 100, 12_345, usize::MAX] {
+            let mut out = b"n=".to_vec();
+            push_decimal(&mut out, value);
+            assert_eq!(out, format!("n={value}").into_bytes());
+        }
+    }
+
+    #[test]
+    fn complete_heads_are_detected_before_parsing() {
+        let mut parser = RequestParser::new();
+        assert!(!parser.has_complete_head());
+        parser.feed_raw(b"GET /a HTTP/1.1\r\n\r\nGET /b HTTP/1.1\r\n");
+        assert!(parser.has_complete_head());
+        assert_eq!(parser.try_parse().unwrap().unwrap().path, "/a");
+        assert!(!parser.has_complete_head(), "the second head is torn");
+        parser.feed_raw(b"\r\n");
+        assert!(parser.has_complete_head());
     }
 
     /// Encodes a payload as chunked framing with the given chunk sizes.

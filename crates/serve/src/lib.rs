@@ -11,7 +11,8 @@
 //!   torn-read safe; malformed or oversized input answers 400/431, never
 //!   panics), streamed request bodies ([`http::Body`]) with both
 //!   `Content-Length` and `Transfer-Encoding: chunked` framing
-//!   ([`http::ChunkedDecoder`]), and a response writer;
+//!   ([`http::ChunkedDecoder`]), and a response writer that renders a
+//!   reply into one buffer around a shared (`Arc<[u8]>`) body;
 //! * [`router`] — registry-driven routes (`/v1/healthz`, `/v1/analyses`,
 //!   `/v1/analyses/{id}`, `/v1/report`, the `/v1/datasets` tenancy
 //!   routes, `POST /v1/shutdown`) over a shared
@@ -19,10 +20,12 @@
 //!   `?dataset={name}`, feed bodies stream through
 //!   [`osdiv_registry::FeedIngester`] into new queryable datasets, and
 //!   rendered bodies live in a bounded LRU **with their precomputed
-//!   ETag** (dataset+seed+hash keyed, `If-None-Match` → 304);
+//!   ETag** (dataset+seed+hash keyed, `If-None-Match` → 304), and a hit
+//!   shares the cached bytes instead of copying them;
 //! * [`server`] — a `TcpListener` accept loop feeding a fixed worker
-//!   thread pool, with graceful shutdown from inside (the shutdown route)
-//!   or outside ([`ServerHandle::shutdown`]);
+//!   thread pool, replies to pipelined requests coalesced into one send,
+//!   and graceful shutdown from inside (the shutdown route) or outside
+//!   ([`ServerHandle::shutdown`]);
 //! * [`loadgen`] — a std-`TcpStream` client (GET/HEAD, bodies, chunked
 //!   uploads), a multi-threaded closed-loop load generator and an
 //!   open-loop Poisson-arrival harness ([`run_open_loop`]) whose p99s

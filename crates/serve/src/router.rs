@@ -140,10 +140,11 @@ pub(crate) fn micros_since(started: Instant) -> u64 {
 
 /// A rendered body plus its precomputed strong ETag. Hashing happens once,
 /// at insert time — revalidations and cache hits reuse the stored tag
-/// instead of re-hashing multi-megabyte documents per request.
+/// instead of re-hashing multi-megabyte documents per request. A hit
+/// shares the body with its response; the bytes are never copied.
 #[derive(Debug)]
 struct CachedBody {
-    body: Vec<u8>,
+    body: Arc<[u8]>,
     etag: String,
 }
 
@@ -959,7 +960,10 @@ impl Router {
                             dataset,
                             fnv1a(&body)
                         );
-                        let cached = Arc::new(CachedBody { body, etag });
+                        let cached = Arc::new(CachedBody {
+                            body: body.into(),
+                            etag,
+                        });
                         self.cache.lock().insert(key, Arc::clone(&cached));
                         cached
                     }
@@ -975,7 +979,7 @@ impl Router {
             return Response::new(304).with_header("ETag", cached.etag.clone());
         }
         Response::new(200)
-            .with_body(format.content_type(), cached.body.clone())
+            .with_body(format.content_type(), Arc::clone(&cached.body))
             .with_header("ETag", cached.etag.clone())
             .with_header("Cache-Control", "no-cache")
     }
@@ -1223,7 +1227,7 @@ mod tests {
         let entry = |data: Vec<u8>| {
             Arc::new(CachedBody {
                 etag: "\"x\"".to_string(),
-                body: data,
+                body: data.into(),
             })
         };
         let mut lru = LruCache::new(2);
@@ -1242,7 +1246,7 @@ mod tests {
         let entry = |data: Vec<u8>| {
             Arc::new(CachedBody {
                 etag: "\"x\"".to_string(),
-                body: data,
+                body: data.into(),
             })
         };
         let mut lru = LruCache::new(1000);
@@ -1326,6 +1330,36 @@ mod tests {
         assert_eq!(implicit.header("etag"), explicit.header("etag"));
         // …and the second request was a cache hit on the same key.
         assert_eq!(router.cache_hit_count(), 1);
+    }
+
+    #[test]
+    fn cache_hits_share_the_cached_body_instead_of_copying_it() {
+        let dataset = datagen::CalibratedGenerator::new(1).generate();
+        let study = Arc::new(Study::from_entries(dataset.entries()));
+        let router = Router::with_study(
+            Arc::clone(&study),
+            RouterOptions {
+                seed: 1,
+                cache_capacity: 4,
+                ..RouterOptions::default()
+            },
+        );
+        let reference = renderer(Format::Json)
+            .document(&analysis_sections(&study, AnalysisId::Validity, &Params::new()).unwrap());
+        let get = || {
+            router.handle(&request(
+                "GET /v1/analyses/validity?format=json HTTP/1.1\r\n\r\n",
+            ))
+        };
+        let (miss, first, second) = (get(), get(), get());
+        assert_eq!(router.cache_hit_count(), 2);
+        for response in [&miss, &first, &second] {
+            assert_eq!(response.status(), 200);
+            assert_eq!(response.body(), reference.as_bytes());
+        }
+        // Every response is another reference to the one cached buffer.
+        assert_eq!(first.body().as_ptr(), second.body().as_ptr());
+        assert_eq!(miss.body().as_ptr(), first.body().as_ptr());
     }
 
     #[test]

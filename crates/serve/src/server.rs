@@ -18,7 +18,9 @@ use std::time::{Duration, Instant};
 use osdiv_core::{obs, FlightRecorder, JsonLine};
 use parking_lot::Mutex;
 
-use crate::http::{Body, BodyError, RequestParser, Response, StreamBody, MAX_BODY_BYTES};
+use crate::http::{
+    Body, BodyError, BodyFraming, RequestParser, Response, StreamBody, MAX_BODY_BYTES,
+};
 use crate::metrics::{RouteClass, ServeMetrics, Stage};
 use crate::router::{micros_since, Router};
 
@@ -232,10 +234,11 @@ fn shed_connection(stream: &mut TcpStream, metrics: &ServeMetrics) {
     let _ = stream.shutdown(Shutdown::Both);
 }
 
-/// Best-effort RST avoidance when closing a connection whose request body
-/// was never fully read: signal FIN, then discard (bounded, with a short
-/// timeout) whatever the peer keeps sending, so the already-written error
-/// response survives long enough to be read.
+/// Best-effort RST avoidance when closing a connection whose peer may
+/// still be sending (a request body never fully read, or requests
+/// pipelined past the keep-alive limit): signal FIN, then discard
+/// (bounded, with a short timeout) whatever the peer keeps sending, so
+/// the already-written replies survive long enough to be read.
 fn lame_duck_drain(stream: &mut TcpStream) {
     let _ = stream.shutdown(Shutdown::Write);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
@@ -251,11 +254,58 @@ fn lame_duck_drain(stream: &mut TcpStream) {
     }
 }
 
+/// Replies coalesce in a connection's output buffer only while it holds
+/// less than this; a fuller buffer is sent even if more requests wait.
+const COALESCE_BYTES: usize = 64 * 1024;
+
+/// A client socket plus the replies appended to it but not yet sent.
+/// Every read goes through [`Read`], which sends the owed replies first:
+/// a client that waits for its replies before sending more can never
+/// deadlock against a server waiting for those bytes.
+struct Connection<'a> {
+    stream: TcpStream,
+    out: Vec<u8>,
+    metrics: &'a ServeMetrics,
+}
+
+impl Connection<'_> {
+    /// Sends the buffered replies with one `write_all`, counting them in
+    /// `osdiv_bytes_out` once they are out.
+    fn flush(&mut self) -> io::Result<()> {
+        if self.out.is_empty() {
+            return Ok(());
+        }
+        let sent = self.stream.write_all(&self.out);
+        if sent.is_ok() {
+            self.metrics.record_bytes_out(self.out.len());
+        }
+        self.out.clear();
+        // One multi-megabyte document must not pin its buffer for the
+        // rest of the connection.
+        if self.out.capacity() > 4 * COALESCE_BYTES {
+            self.out = Vec::new();
+        }
+        sent
+    }
+}
+
+impl Read for Connection<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.flush()?;
+        self.stream.read(buf)
+    }
+}
+
 /// Serves one connection until it closes, errors, exhausts its keep-alive
 /// budget, or the server shuts down.
+///
+/// Replies to pipelined requests coalesce: while the next request head is
+/// already buffered, a reply stays in the output buffer and leaves with
+/// the next ones in a single write. Everything owed is sent before any
+/// socket read and before the connection closes.
 fn handle_connection(
     router: &Router,
-    mut stream: TcpStream,
+    stream: TcpStream,
     options: &ServerOptions,
     shutdown: &AtomicBool,
     addr: SocketAddr,
@@ -265,18 +315,17 @@ fn handle_connection(
     let _ = stream.set_nodelay(true);
     let metrics = Arc::clone(router.metrics());
     metrics.connection_opened();
-    let record_write = |written: io::Result<usize>| -> bool {
-        match written {
-            Ok(bytes) => {
-                metrics.record_bytes_out(bytes);
-                true
-            }
-            Err(_) => false,
-        }
+    let mut conn = Connection {
+        stream,
+        out: Vec::new(),
+        metrics: &metrics,
     };
     let mut parser = RequestParser::new();
     let mut served = 0usize;
     let mut chunk = [0u8; 4096];
+    // Whether the close must go through the lame-duck drain because the
+    // peer may still be sending.
+    let mut linger = false;
 
     'connection: loop {
         // Parse the next request: buffered bytes first (pipelining), then
@@ -293,7 +342,7 @@ fn handle_connection(
                 }
                 Ok(None) => {}
                 Err(violation) => {
-                    record_write(Response::from(&violation).write_to(&mut stream, false, false));
+                    Response::from(&violation).append_to(&mut conn.out, false, false);
                     break 'connection;
                 }
             }
@@ -307,18 +356,18 @@ fn handle_connection(
                 let remaining = options.io_timeout.saturating_sub(started.elapsed());
                 if remaining.is_zero() {
                     metrics.record_io_timeout();
-                    record_write(
-                        Response::text(408, "request header read timed out").write_to(
-                            &mut stream,
-                            false,
-                            false,
-                        ),
+                    Response::text(408, "request header read timed out").append_to(
+                        &mut conn.out,
+                        false,
+                        false,
                     );
                     break 'connection;
                 }
-                let _ = stream.set_read_timeout(Some(options.read_timeout.min(remaining)));
+                let _ = conn
+                    .stream
+                    .set_read_timeout(Some(options.read_timeout.min(remaining)));
             }
-            match stream.read(&mut chunk) {
+            match conn.read(&mut chunk) {
                 Ok(0) => break 'connection, // peer closed
                 Ok(n) => {
                     request_started.get_or_insert_with(Instant::now);
@@ -326,11 +375,7 @@ fn handle_connection(
                         Ok(Some(request)) => break request,
                         Ok(None) => {}
                         Err(violation) => {
-                            record_write(Response::from(&violation).write_to(
-                                &mut stream,
-                                false,
-                                false,
-                            ));
+                            Response::from(&violation).append_to(&mut conn.out, false, false);
                             break 'connection;
                         }
                     }
@@ -343,12 +388,10 @@ fn handle_connection(
                         // Mid-request stall, not keep-alive idleness:
                         // tell the peer before closing.
                         metrics.record_io_timeout();
-                        record_write(
-                            Response::text(408, "request header read timed out").write_to(
-                                &mut stream,
-                                false,
-                                false,
-                            ),
+                        Response::text(408, "request header read timed out").append_to(
+                            &mut conn.out,
+                            false,
+                            false,
                         );
                     }
                     break 'connection;
@@ -359,7 +402,7 @@ fn handle_connection(
         // Restore the idle timeout the budget tracking above may have
         // shrunk — body reads and the next keep-alive request start
         // from the configured value.
-        let _ = stream.set_read_timeout(Some(options.read_timeout));
+        let _ = conn.stream.set_read_timeout(Some(options.read_timeout));
         let request_started = request_started.unwrap_or_else(Instant::now);
         let mut trace = router.begin_trace();
         trace.route = RouteClass::classify(&request.method, &request.path);
@@ -382,11 +425,23 @@ fn handle_connection(
         let framing = match request.body_framing() {
             Ok(framing) => framing,
             Err(violation) => {
-                record_write(Response::from(&violation).write_to(&mut stream, false, false));
+                Response::from(&violation).append_to(&mut conn.out, false, false);
                 break;
             }
         };
-        let mut body = StreamBody::new(&mut parser, &mut stream, framing);
+        // The client may hold this body back until it has seen the replies
+        // before it: send them before any body read, timed into this
+        // request's write stage.
+        let owed_us = if framing == BodyFraming::Length(0) {
+            0
+        } else {
+            let started = Instant::now();
+            if conn.flush().is_err() {
+                break;
+            }
+            micros_since(started)
+        };
+        let mut body = StreamBody::new(&mut parser, &mut conn, framing);
         served += 1;
         // Routes that do not consume the body get it drained (bounded)
         // *before* routing: an oversized or malformed upload must be
@@ -428,8 +483,9 @@ fn handle_connection(
                 router.handle_traced(&request, &mut body, &mut trace)
             }
         };
+        let limit_reached = served >= options.max_keep_alive_requests;
         let mut keep_alive = request.keep_alive()
-            && served < options.max_keep_alive_requests
+            && !limit_reached
             && !shutdown.load(Ordering::SeqCst)
             && !rejected_before_routing;
         // Whether unread body bytes remain when the response is written —
@@ -446,10 +502,18 @@ fn handle_connection(
             keep_alive = false;
             body_pending = true;
         }
+        // A keep-alive client cut off by the request limit may already
+        // have pipelined more requests; closing over them would reset the
+        // connection and destroy the replies still in flight.
+        linger = body_pending || (limit_reached && request.keep_alive());
         let status = response.status();
         let write_started = Instant::now();
-        let written = response.write_to(&mut stream, keep_alive, request.method == "HEAD");
-        trace.write_us = micros_since(write_started);
+        let written = response.append_to(&mut conn.out, keep_alive, request.method == "HEAD");
+        // Coalesce while the next request is already here: this reply then
+        // costs only its append, and the flush lands on a later reply.
+        let deferred = keep_alive && conn.out.len() < COALESCE_BYTES && parser.has_complete_head();
+        let sent = if deferred { Ok(()) } else { conn.flush() };
+        trace.write_us = owed_us + micros_since(write_started);
         metrics.record_stage_us(Stage::Write, trace.write_us);
         // The server owns the full span — head transfer through response
         // write — so the route-class histogram includes parse and write
@@ -473,7 +537,7 @@ fn handle_connection(
             line.str_field("path", &request.path);
             line.str_field("route", trace.route.as_str());
             line.u64_field("status", u64::from(status));
-            line.u64_field("bytes", written.as_ref().map(|b| *b as u64).unwrap_or(0));
+            line.u64_field("bytes", written as u64);
             line.u64_field("parse_us", trace.parse_us);
             line.u64_field("cache_us", trace.cache_us);
             line.u64_field("render_us", trace.render_us);
@@ -482,27 +546,28 @@ fn handle_connection(
             line.bool_field("cache_hit", trace.cache_hit);
             log.emit(&line.finish());
         }
-        if !record_write(written) {
-            break;
-        }
-        if body_pending {
-            // Closing with unread bytes in the receive queue makes the OS
-            // answer the peer's in-flight upload with a RST, which can
-            // destroy the response before the client reads it. Half-close
-            // the write side and drain (bounded) what the peer already
-            // sent so the error diagnostic actually arrives.
-            lame_duck_drain(&mut stream);
+        if sent.is_err() {
             break;
         }
         if shutdown.load(Ordering::SeqCst) {
-            // This worker may have just handled POST /v1/shutdown: wake the
-            // accept loop so the server can wind down.
+            // This worker may have just handled POST /v1/shutdown: send
+            // the reply, then wake the accept loop so the server can wind
+            // down.
+            let _ = conn.flush();
             wake_accept_loop(addr);
             break;
         }
         if !keep_alive {
             break;
         }
+    }
+    // Every way out sends what is still owed. Closing with unread bytes in
+    // the receive queue makes the OS answer the peer with a RST, which can
+    // destroy those replies before the client reads them: a lingering
+    // close half-closes the write side and drains (bounded) what the peer
+    // already sent, so they actually arrive.
+    if conn.flush().is_ok() && linger {
+        lame_duck_drain(&mut conn.stream);
     }
     metrics.connection_closed();
 }

@@ -2,7 +2,7 @@
 //! ephemeral port, exercised by the std-`TcpStream` client in
 //! [`osdiv_serve::loadgen`].
 
-use std::io::{BufReader, Read};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -869,8 +869,6 @@ fn shutdown_endpoint_stops_the_server_cleanly() {
 
 #[test]
 fn slow_loris_is_cut_off_within_twice_the_io_budget() {
-    use std::io::Write;
-
     let io_timeout = Duration::from_millis(400);
     let router = Arc::new(Router::with_study(
         study(),
@@ -995,5 +993,264 @@ fn overload_sheds_ingestion_first_while_cached_reads_survive() {
     for _ in 0..14 {
         router.metrics().dispatch_dequeued();
     }
+    handle.shutdown().unwrap();
+}
+
+/// Reads one reply exactly as it came off the wire: the head through its
+/// blank line, then the body. `head_response` marks a reply to `HEAD`,
+/// whose `Content-Length` announces a body that is never sent.
+fn read_raw_reply(reader: &mut impl BufRead, head_response: bool) -> std::io::Result<Vec<u8>> {
+    let mut raw = Vec::new();
+    let mut length = 0usize;
+    loop {
+        let start = raw.len();
+        if reader.read_until(b'\n', &mut raw)? == 0 {
+            return Err(std::io::ErrorKind::UnexpectedEof.into());
+        }
+        let line = String::from_utf8_lossy(&raw[start..]).to_ascii_lowercase();
+        if let Some(value) = line.strip_prefix("content-length:") {
+            length = value.trim().parse().unwrap();
+        }
+        if line == "\r\n" {
+            break;
+        }
+    }
+    if !head_response && !raw.starts_with(b"HTTP/1.1 304") {
+        let start = raw.len();
+        raw.resize(start + length, 0);
+        reader.read_exact(&mut raw[start..])?;
+    }
+    Ok(raw)
+}
+
+/// A raw reply without its `X-Request-Id` line: the one field two
+/// servings of the same request never share.
+fn without_request_id(raw: &[u8]) -> Vec<u8> {
+    let text = String::from_utf8_lossy(raw);
+    let (head, body) = text.split_once("\r\n\r\n").unwrap();
+    let head: Vec<&str> = head
+        .split("\r\n")
+        .filter(|line| !line.starts_with("X-Request-Id:"))
+        .collect();
+    format!("{}\r\n\r\n{body}", head.join("\r\n")).into_bytes()
+}
+
+/// Scrapes `/metrics` on an open connection: the raw reply and the
+/// `osdiv_bytes_out` counter it reports.
+fn scrape_bytes_out(reader: &mut BufReader<TcpStream>) -> (Vec<u8>, u64) {
+    write_request(reader.get_mut(), "GET", "/metrics", &[]).unwrap();
+    let raw = read_raw_reply(reader, false).unwrap();
+    let bytes_out = String::from_utf8_lossy(&raw)
+        .lines()
+        .find_map(|line| line.strip_prefix("osdiv_bytes_out "))
+        .and_then(|value| value.trim().parse().ok())
+        .expect("the exposition carries osdiv_bytes_out");
+    (raw, bytes_out)
+}
+
+fn connect(addr: std::net::SocketAddr) -> BufReader<TcpStream> {
+    let stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    BufReader::new(stream)
+}
+
+#[test]
+fn a_pipelined_mixed_batch_matches_replies_sent_one_at_a_time() {
+    let batch_on = |pipelined: bool| {
+        let (_, handle) = start_server(false);
+        // Everything runs on one connection, so each reply is counted
+        // before the worker reads the next request: the scrapes see
+        // every earlier reply and none of the later ones.
+        let mut reader = connect(handle.addr());
+        write_request(reader.get_mut(), "GET", "/v1/report?format=json", &[]).unwrap();
+        let warm = read_response(&mut reader).unwrap();
+        let etag = warm.header("etag").unwrap().to_string();
+        let requests = [
+            ("GET", "/v1/report?format=json", vec![]),
+            ("GET", "/v1/healthz", vec![]),
+            (
+                "GET",
+                "/v1/report?format=json",
+                vec![("If-None-Match", etag.as_str())],
+            ),
+            ("HEAD", "/v1/report?format=json", vec![]),
+            ("GET", "/v1/no-such-route", vec![]),
+        ];
+        let (scrape, before) = scrape_bytes_out(&mut reader);
+        let replies: Vec<Vec<u8>> = if pipelined {
+            let mut wire = Vec::new();
+            for (method, path, headers) in &requests {
+                write_request(&mut wire, method, path, headers).unwrap();
+            }
+            reader.get_mut().write_all(&wire).unwrap();
+            requests
+                .iter()
+                .map(|(method, ..)| read_raw_reply(&mut reader, *method == "HEAD").unwrap())
+                .collect()
+        } else {
+            requests
+                .iter()
+                .map(|(method, path, headers)| {
+                    write_request(reader.get_mut(), method, path, headers).unwrap();
+                    read_raw_reply(&mut reader, *method == "HEAD").unwrap()
+                })
+                .collect()
+        };
+        let (_, after) = scrape_bytes_out(&mut reader);
+        let received: usize = replies.iter().map(Vec::len).sum();
+        assert_eq!(
+            after - before,
+            (scrape.len() + received) as u64,
+            "osdiv_bytes_out must count exactly the bytes received (pipelined: {pipelined})"
+        );
+        handle.shutdown().unwrap();
+        replies
+    };
+    let pipelined = batch_on(true);
+    let sequential = batch_on(false);
+    let statuses: Vec<&str> = pipelined
+        .iter()
+        .map(|raw| std::str::from_utf8(&raw[9..12]).unwrap())
+        .collect();
+    assert_eq!(statuses, ["200", "200", "304", "200", "404"]);
+    for (index, (got, want)) in pipelined.iter().zip(&sequential).enumerate() {
+        assert_eq!(
+            String::from_utf8_lossy(&without_request_id(got)),
+            String::from_utf8_lossy(&without_request_id(want)),
+            "reply {index} differs from its one-at-a-time serving"
+        );
+    }
+}
+
+#[test]
+fn a_malformed_last_request_gets_every_earlier_reply_then_400_and_close() {
+    let (_, handle) = start_server(false);
+    let mut reader = connect(handle.addr());
+    let mut wire = Vec::new();
+    write_request(&mut wire, "GET", "/v1/healthz", &[]).unwrap();
+    write_request(&mut wire, "GET", "/v1/report?format=json", &[]).unwrap();
+    wire.extend_from_slice(b"NOT A REQUEST LINE AT ALL\r\n\r\n");
+    reader.get_mut().write_all(&wire).unwrap();
+
+    let health = read_response(&mut reader).unwrap();
+    assert_eq!(health.status, 200);
+    let report = read_response(&mut reader).unwrap();
+    assert_eq!(report.status, 200);
+    assert_eq!(report.body_string(), study().report(Format::Json).unwrap());
+    let rejected = read_response(&mut reader).unwrap();
+    assert_eq!(rejected.status, 400);
+    assert_eq!(rejected.header("connection"), Some("close"));
+    let mut rest = Vec::new();
+    reader.read_to_end(&mut rest).unwrap();
+    assert!(rest.is_empty(), "nothing may follow the 400");
+    handle.shutdown().unwrap();
+}
+
+#[test]
+fn a_pipelined_put_whose_body_waits_for_the_previous_reply_completes() {
+    let (_, handle) = start_server(false);
+    let mut reader = connect(handle.addr());
+    let xml = feed_xml();
+    let length = xml.len().to_string();
+    let mut wire = Vec::new();
+    write_request(&mut wire, "GET", "/v1/report?format=json", &[]).unwrap();
+    write_request(
+        &mut wire,
+        "PUT",
+        "/v1/datasets/late",
+        &[("Content-Length", length.as_str())],
+    )
+    .unwrap();
+    reader.get_mut().write_all(&wire).unwrap();
+
+    // The client holds the body back until the GET is answered: a server
+    // still sitting on that reply while it waits for the body deadlocks,
+    // which the read timeout turns into a failure here.
+    let report = read_response(&mut reader).unwrap();
+    assert_eq!(report.status, 200);
+    reader.get_mut().write_all(&xml).unwrap();
+    let created = read_response(&mut reader).unwrap();
+    assert_eq!(created.status, 201, "{}", created.body_string());
+    handle.shutdown().unwrap();
+}
+
+#[test]
+fn pipelined_replies_past_the_coalescing_limit_arrive_complete() {
+    let (_, handle) = start_server(false);
+    let mut reader = connect(handle.addr());
+    let expected = study().report(Format::Json).unwrap();
+    let count = 1 + 64 * 1024 / expected.len() * 3;
+    let mut wire = Vec::new();
+    for _ in 0..count {
+        write_request(&mut wire, "GET", "/v1/report?format=json", &[]).unwrap();
+    }
+    reader.get_mut().write_all(&wire).unwrap();
+    for index in 0..count {
+        let reply = read_response(&mut reader).unwrap();
+        assert_eq!(reply.status, 200, "reply {index}");
+        assert_eq!(reply.body_string(), expected, "reply {index}");
+    }
+    handle.shutdown().unwrap();
+}
+
+#[test]
+fn the_keep_alive_limit_closes_after_its_replies_without_a_reset() {
+    let limit = 8;
+    let server = Server::bind(
+        "127.0.0.1:0",
+        Arc::new(Router::with_study(
+            study(),
+            RouterOptions {
+                seed: SEED,
+                cache_capacity: 8,
+                ..RouterOptions::default()
+            },
+        )),
+        ServerOptions {
+            threads: 2,
+            read_timeout: Duration::from_secs(1),
+            max_keep_alive_requests: limit,
+            ..ServerOptions::default()
+        },
+    )
+    .unwrap();
+    let handle = server.spawn();
+    let mut reader = connect(handle.addr());
+    // Far more requests than the limit, and far more bytes than one
+    // server read: most are still unread when the limit is reached.
+    let mut wire = Vec::new();
+    for _ in 0..300 {
+        write_request(&mut wire, "GET", "/v1/report?format=json", &[]).unwrap();
+    }
+    assert!(wire.len() > 4096);
+    reader.get_mut().write_all(&wire).unwrap();
+    // Let the server reach the limit and close before anything is read.
+    std::thread::sleep(Duration::from_millis(300));
+
+    let expected = study().report(Format::Json).unwrap();
+    for index in 0..limit {
+        let reply = read_response(&mut reader).unwrap();
+        assert_eq!(reply.status, 200, "reply {index}");
+        assert_eq!(reply.body_string(), expected, "reply {index}");
+        let connection = if index + 1 == limit {
+            "close"
+        } else {
+            "keep-alive"
+        };
+        assert_eq!(
+            reply.header("connection"),
+            Some(connection),
+            "reply {index}"
+        );
+    }
+    let mut rest = Vec::new();
+    let end = reader.read_to_end(&mut rest);
+    assert!(
+        end.is_ok(),
+        "expected EOF after the last reply, got {end:?}"
+    );
+    assert!(rest.is_empty(), "{} bytes after the last reply", rest.len());
     handle.shutdown().unwrap();
 }
